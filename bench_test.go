@@ -66,7 +66,7 @@ func BenchmarkTable2_StaticAnalysis(b *testing.B) {
 
 func benchCampaign(b *testing.B, sys sysreg.System) {
 	for i := 0; i < b.N; i++ {
-		rep, err := csnake.Run(sys, lightConfig(42))
+		rep, err := csnake.NewCampaign(sys, csnake.WithConfig(lightConfig(42))).Run()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -388,7 +388,7 @@ func BenchmarkRandomAllocation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := lightConfig(43)
 		cfg.Protocol = csnake.ProtocolRandom
-		rep, err := csnake.Run(sys, cfg)
+		rep, err := csnake.NewCampaign(sys, csnake.WithConfig(cfg)).Run()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -19,9 +19,8 @@
 // anything, and folds execution results back in at the two decision
 // barriers (clustering after phase one, scoring after phase two). The
 // blocking Protocol.Run entry point drives the state machine to
-// completion one whole phase at a time and is byte-identical to the
-// pre-state-machine implementation; anytime campaigns drive the same
-// machine wave by wave.
+// completion one whole phase at a time; campaigns drive the same machine
+// through their round loop, in whole-phase or capped waves.
 package alloc
 
 import (
@@ -112,14 +111,9 @@ type Protocol struct {
 }
 
 // Run executes the three phases against ex and returns the result: it
-// drives the resumable Schedule to completion, one whole phase per wave.
+// drives the resumable Schedule to completion, one whole phase per wave,
+// fanning each wave through ExecuteWave when ex supports it.
 func (p *Protocol) Run(ex Executor) *Result {
-	if p.BudgetFactor == 0 {
-		p.BudgetFactor = 4
-	}
-	if p.ClusterThreshold == 0 {
-		p.ClusterThreshold = 0.5
-	}
 	s := NewSchedule(ScheduleConfig{
 		Space:            p.Space,
 		BudgetFactor:     p.BudgetFactor,
@@ -127,33 +121,11 @@ func (p *Protocol) Run(ex Executor) *Result {
 		ClusterThreshold: p.ClusterThreshold,
 		Rng:              p.Rng,
 	}, ex)
-	drive(s, ex)
-	return s.Result()
-}
-
-// WaveExecutor is the optional wave-capable extension of Executor: an
-// executor that runs a whole planned wave at once (the harness driver
-// fans the wave's experiments across its worker pool, merging per-
-// experiment shards in wave order) while staying byte-identical to
-// issuing the same runs through serial Execute calls. drive prefers it
-// when available, so blocking batch campaigns inherit wave-level
-// parallelism: with Next(0) each wave spans a whole phase, and the only
-// serialization left is the two decision barriers (clustering after
-// phase one, scoring after phase two) where planning genuinely needs
-// the folded results.
-type WaveExecutor interface {
-	ExecuteWave(wave []PlannedRun) ([]RunRecord, graph.Delta)
-}
-
-// drive runs a schedule to completion against a blocking executor,
-// fanning whole-phase waves through ExecuteWave when the executor
-// supports it.
-func drive(s Scheduler, ex Executor) {
 	wx, _ := ex.(WaveExecutor)
 	for {
 		wave := s.Next(0)
 		if len(wave) == 0 {
-			return
+			return s.Result()
 		}
 		var recs []RunRecord
 		if wx != nil {
@@ -171,13 +143,15 @@ func drive(s Scheduler, ex Executor) {
 	}
 }
 
-// --- random baseline (§8.2) ---
-
-// Random runs the comparison protocol: the same number of experiments as a
-// 3PA campaign, with uniformly random (fault, covering-test) pairs and no
-// feedback. Returns the run records (Phase is 0).
-func Random(space *faults.Space, budgetFactor int, rng *rand.Rand, ex Executor) []RunRecord {
-	s := NewRandomSchedule(space, budgetFactor, rng, ex)
-	drive(s, ex)
-	return s.Result().Runs
+// WaveExecutor is the optional wave-capable extension of Executor: an
+// executor that runs a whole planned wave at once (the harness driver
+// fans the wave's experiments across its worker pool, merging per-
+// experiment shards in wave order) while staying byte-identical to
+// issuing the same runs through serial Execute calls. Protocol.Run
+// prefers it when available: with Next(0) each wave spans a whole
+// phase, and the only serialization left is the two decision barriers
+// (clustering after phase one, scoring after phase two) where planning
+// genuinely needs the folded results.
+type WaveExecutor interface {
+	ExecuteWave(wave []PlannedRun) ([]RunRecord, graph.Delta)
 }

@@ -248,7 +248,7 @@ func TestPhaseTwoSpreadsAcrossClusters(t *testing.T) {
 func TestRandomBaselineSameBudget(t *testing.T) {
 	space := mkSpace(5)
 	ex := uniformExec(t, space, []string{"t1", "t2", "t3", "t4"}, func(f faults.ID, test string) []faults.ID { return nil })
-	recs := Random(space, 4, rand.New(rand.NewSource(9)), ex)
+	recs := driveWaves(t, NewRandomSchedule(space, 4, rand.New(rand.NewSource(9)), ex), ex, 0).Runs
 	if len(recs) != 20 {
 		t.Fatalf("random runs = %d, want 20", len(recs))
 	}
@@ -265,7 +265,7 @@ func TestRandomBaselineSameBudget(t *testing.T) {
 func TestRandomBaselineCapsAtPoolSize(t *testing.T) {
 	space := mkSpace(3)
 	ex := uniformExec(t, space, []string{"t1"}, func(f faults.ID, test string) []faults.ID { return nil })
-	recs := Random(space, 4, rand.New(rand.NewSource(10)), ex)
+	recs := driveWaves(t, NewRandomSchedule(space, 4, rand.New(rand.NewSource(10)), ex), ex, 0).Runs
 	if len(recs) != 3 {
 		t.Fatalf("random runs = %d, want pool size 3", len(recs))
 	}

@@ -182,10 +182,6 @@ func (s *Schedule) Phase() Phase {
 // still running or when a campaign stops early.
 func (s *Schedule) Result() *Result { return s.res }
 
-// ScoreFunc returns the SimScore lookup over the current partial result
-// (1.0 for every fault until phase-two scoring has happened).
-func (s *Schedule) ScoreFunc() func(faults.ID) float64 { return s.res.SimScoreOf }
-
 // Next plans the next wave. It advances through decision barriers only
 // when every previously emitted run has been folded, so a barrier always
 // sees the full interference evidence of the phases before it.

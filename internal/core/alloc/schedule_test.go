@@ -117,7 +117,7 @@ func TestSingleClusterTransferPaths(t *testing.T) {
 }
 
 // TestRandomProtocolDeterministicForFixedSeed pins the §8.2 baseline:
-// identical seeds yield identical schedules, wave-driven or blocking.
+// identical seeds yield identical schedules, in whole or capped waves.
 func TestRandomProtocolDeterministicForFixedSeed(t *testing.T) {
 	mk := func() (*faults.Space, *fakeExec) {
 		space := mkSpace(6)
@@ -126,16 +126,16 @@ func TestRandomProtocolDeterministicForFixedSeed(t *testing.T) {
 		})
 	}
 	space, ex := mk()
-	a := Random(space, 2, rand.New(rand.NewSource(17)), ex)
+	a := driveWaves(t, NewRandomSchedule(space, 2, rand.New(rand.NewSource(17)), ex), ex, 0).Runs
 	space, ex = mk()
-	b := Random(space, 2, rand.New(rand.NewSource(17)), ex)
+	b := driveWaves(t, NewRandomSchedule(space, 2, rand.New(rand.NewSource(17)), ex), ex, 0).Runs
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("random schedules diverge for the same seed:\n%v\n%v", a, b)
 	}
 	space, ex = mk()
 	waved := driveWaves(t, NewRandomSchedule(space, 2, rand.New(rand.NewSource(17)), ex), ex, 4)
 	if !reflect.DeepEqual(waved.Runs, a) {
-		t.Fatalf("wave-driven random schedule diverges from blocking Random:\n%v\n%v", waved.Runs, a)
+		t.Fatalf("capped-wave random schedule diverges from whole-schedule waves:\n%v\n%v", waved.Runs, a)
 	}
 }
 

@@ -1,13 +1,16 @@
-// This file holds the round-based streaming pipeline behind WithAnytime,
-// WithEarlyStop, and ProtocolAdaptive: the allocation schedule emits
-// waves of (fault, test) runs, the harness driver executes each wave and
-// publishes the causal-graph delta it contributed, and an incremental
-// beam search folds every delta into the cycle set -- so the campaign
-// has a complete (and converging) answer after every round instead of
-// only at the end. A full anytime run executes exactly the experiments
-// the batch pipeline executes, accumulates exactly the same graph, and
-// finishes with an identical report; early stopping trades the unspent
-// budget for the answer already in hand.
+// This file holds the campaign loop every campaign runs through: the
+// allocation schedule emits waves of (fault, test) runs, the harness
+// driver executes each wave and publishes the causal-graph delta it
+// contributed, and the schedule folds the results back in. A batch
+// campaign plans whole-phase waves, seals no rounds, and searches once
+// at the end. A round-based campaign (WithAnytime, WithEarlyStop,
+// WithWaveSize, ProtocolAdaptive) plans capped waves and folds every
+// delta into an incremental beam search, so it has a complete (and
+// converging) answer after every round instead of only at the end. A
+// full round-based run executes exactly the experiments of the batch
+// run, accumulates exactly the same graph, and finishes with an
+// identical report; early stopping trades the unspent budget for the
+// answer already in hand.
 
 package csnake
 
@@ -18,17 +21,53 @@ import (
 
 	"repro/internal/core/alloc"
 	"repro/internal/core/beam"
+	"repro/internal/core/graph"
 	"repro/internal/faults"
 	"repro/internal/harness"
+	"repro/internal/monitor"
 )
 
-// runAnytime drives the round loop. capture seals the driver's graph
-// into the report with its annotations; it is shared with the batch path
-// so both finish identically. The campaign RNG rides a CountedSource so
-// a checkpoint can record the draw position and a resumed campaign can
-// fast-forward to it.
-func (c *Campaign) runAnytime(cfg Config, space *faults.Space, driver *harness.Driver,
-	rep *Report, capture func()) (*Report, *harness.Driver, error) {
+// run profiles the system, drives the campaign loop to completion, and
+// finishes with the cycle search. The campaign RNG rides a
+// CountedSource so a checkpoint can record the draw position and a
+// resumed campaign can fast-forward to it.
+func (c *Campaign) run(cfg Config, space *faults.Space, driver *harness.Driver,
+	rep *Report, tw *monitor.TraceWriter) (*Report, error) {
+
+	// capture snapshots the driver's causal graph and annotates it with
+	// everything a detached re-search needs: per-fault SimScores (when the
+	// 3PA clustering produced any) and the loop-nest families. A graph
+	// persisted from the report therefore re-searches identically offline.
+	capture := func() {
+		rep.Graph = driver.Graph()
+		for f, gi := range cfg.Beam.NestGroups {
+			rep.Graph.SetNestGroup(f, gi)
+		}
+		if rep.Alloc != nil {
+			for _, f := range space.IDs() {
+				rep.Graph.SetScore(f, rep.Alloc.SimScoreOf(f))
+			}
+		}
+		rep.Edges = rep.Graph.Edges()
+		rep.Sims = driver.SimCount()
+		rep.Checkpoint = driver.CheckpointStats()
+		if tw != nil {
+			// Scores ride the trace too (last record wins on replay), so a
+			// monitor's re-search ranks cycles like the offline one.
+			if rep.Alloc != nil {
+				for _, f := range space.IDs() {
+					tw.Score(f, rep.Alloc.SimScoreOf(f))
+				}
+			}
+			tw.Flush()
+		}
+	}
+
+	driver.ProfileAll()
+	if err := c.ctx.Err(); err != nil {
+		capture()
+		return rep, err
+	}
 
 	src := alloc.NewCountedSource(cfg.Seed)
 	rng := rand.New(src)
@@ -39,7 +78,7 @@ func (c *Campaign) runAnytime(cfg Config, space *faults.Space, driver *harness.D
 	// closes over the driver's graph).
 	if c.resume != nil {
 		if err := c.adoptResume(c.resume, cfg, driver); err != nil {
-			return rep, driver, err
+			return rep, err
 		}
 	}
 
@@ -51,16 +90,16 @@ func (c *Campaign) runAnytime(cfg Config, space *faults.Space, driver *harness.D
 	if cp := c.resume; cp != nil {
 		res, ok := sched.(alloc.Resumable)
 		if !ok {
-			return rep, driver, resumeErr("scheduler %T is not resumable", sched)
+			return rep, resumeErr("scheduler %T is not resumable", sched)
 		}
 		if err := res.RestoreState(cp.Schedule); err != nil {
-			return rep, driver, resumeErr("%v", err)
+			return rep, resumeErr("%v", err)
 		}
 		if err := src.FastForwardTo(cp.RNGDraws); err != nil {
-			return rep, driver, resumeErr("%v", err)
+			return rep, resumeErr("%v", err)
 		}
 		if err := driver.OffsetSims(cp.Sims - driver.SimCount()); err != nil {
-			return rep, driver, resumeErr("checkpoint sims %d below the campaign's own %d", cp.Sims, driver.SimCount())
+			return rep, resumeErr("checkpoint sims %d below the campaign's own %d", cp.Sims, driver.SimCount())
 		}
 		roundBase, stable, lastFP = cp.Rounds, cp.Stable, cp.LastFingerprint
 		// The checkpoint may already satisfy the early-stop criterion (the
@@ -70,37 +109,20 @@ func (c *Campaign) runAnytime(cfg Config, space *faults.Space, driver *harness.D
 			rep.EarlyStopped = true
 		}
 	}
-
-	// scoreOf and clusterOf mirror the batch path: constant 1 / unknown
-	// until the 3PA schedule has clustered and scored.
 	res := sched.Result()
-	scoreOf := func(f faults.ID) float64 {
-		if isRandom {
-			return 1
-		}
-		return res.SimScoreOf(f)
-	}
-	clusterOf := func(f faults.ID) (int, bool) {
-		if isRandom {
-			return 0, false
-		}
-		gi, ok := res.ClusterOf[f]
-		return gi, ok
-	}
 
-	waveSize := cfg.WaveSize
-	if waveSize <= 0 {
-		waveSize = space.Size()
-		if waveSize < 1 {
-			waveSize = 1
+	// A batch campaign plans whole-phase waves (Next(0)): the only
+	// serialization left is the schedule's two decision barriers.
+	rounds := cfg.roundBased()
+	waveSize := 0
+	if rounds {
+		waveSize = cfg.WaveSize
+		if waveSize <= 0 {
+			waveSize = max(space.Size(), 1)
 		}
 	}
 
 	inc := beam.NewIncremental(cfg.Beam)
-	var (
-		cycles   []beam.Cycle
-		clusters []beam.CycleCluster
-	)
 
 	// Pipelined analysis: when no consumer needs round k's analysis
 	// before wave k+1 may start, the FCA-fed incremental search and the
@@ -115,18 +137,10 @@ func (c *Campaign) runAnytime(cfg Config, space *faults.Space, driver *harness.D
 	// planning round k+1, and checkpointing must seal rounds in lockstep
 	// with the schedule state it persists, so both keep the blocking loop.
 	pipeline := cfg.EarlyStopRounds == 0 && c.ckptFn == nil
-	type pendingRound struct {
-		r        Round
-		done     chan struct{}
-		cycles   []beam.Cycle
-		clusters []beam.CycleCluster
-		panicked any
-	}
-	var pend *pendingRound
-	// finishPending joins the in-flight analysis and seals its round:
-	// append, observer, convergence bookkeeping -- everything the blocking
-	// loop does after searching, in the same order.
-	finishPending := func() {
+	var pend *roundAnalysis
+	// seal joins the round in flight and seals it: append, observer,
+	// convergence bookkeeping. A no-op when no round is pending.
+	seal := func() {
 		if pend == nil {
 			return
 		}
@@ -134,16 +148,15 @@ func (c *Campaign) runAnytime(cfg Config, space *faults.Space, driver *harness.D
 		if pend.panicked != nil {
 			panic(pend.panicked)
 		}
-		cycles, clusters = pend.cycles, pend.clusters
 		r := pend.r
-		r.CycleCount = len(cycles)
-		r.Clusters = compactClusters(clusters)
+		r.CycleCount = len(pend.cycles)
+		r.Clusters = compactClusters(pend.clusters)
 		rep.Rounds = append(rep.Rounds, r)
 		if ro, ok := c.obs.(RoundObserver); ok {
 			ro.RoundCompleted(r)
 		}
-		fp := clusterFingerprint(clusters)
-		if len(cycles) > 0 && fp == lastFP {
+		fp := clusterFingerprint(pend.clusters)
+		if len(pend.cycles) > 0 && fp == lastFP {
 			stable++
 		} else {
 			stable = 0
@@ -166,93 +179,84 @@ func (c *Campaign) runAnytime(cfg Config, space *faults.Space, driver *harness.D
 			// would not be meaningful.
 			break
 		}
-
-		roundNum++
-		r := Round{
-			Round:         roundNum,
-			Phase:         wave[len(wave)-1].Phase,
-			Runs:          len(wave),
-			Spent:         sched.Spent(),
-			Budget:        sched.Budget(),
-			NewEdges:      delta.New,
-			TouchedEdges:  len(delta.Edges),
-			TouchedFaults: len(delta.Faults),
-		}
-
-		if pipeline {
-			// Join round k-1 (its analysis overlapped this wave's sims),
-			// then hand round k to the background analyser. The snapshot
-			// and the scoring-state copy are taken now, between Fold and
-			// the next Next: exactly the state the blocking search sees.
-			finishPending()
-			snap := driver.Graph()
-			snapScore, snapCluster := snapshotScoring(res, isRandom)
-			p := &pendingRound{r: r, done: make(chan struct{})}
-			pend = p
-			go func() {
-				defer close(p.done)
-				defer func() { p.panicked = recover() }()
-				p.cycles = inc.SearchDelta(snap, delta, snapScore)
-				p.clusters = beam.ClusterCycles(p.cycles, snapCluster)
-			}()
+		if !rounds {
 			continue
 		}
 
-		cycles = inc.SearchDelta(driver.Graph(), delta, scoreOf)
-		clusters = beam.ClusterCycles(cycles, clusterOf)
-		r.CycleCount = len(cycles)
-		r.Clusters = compactClusters(clusters)
-		rep.Rounds = append(rep.Rounds, r)
-		if ro, ok := c.obs.(RoundObserver); ok {
-			ro.RoundCompleted(r)
+		roundNum++
+		// Join round k-1 (its analysis overlapped this wave's sims), then
+		// analyse round k. The snapshot and the scoring-state copy are
+		// taken now, between Fold and the next Next: exactly the state a
+		// blocking search sees.
+		seal()
+		pend = &roundAnalysis{
+			r: Round{
+				Round:         roundNum,
+				Phase:         wave[len(wave)-1].Phase,
+				Runs:          len(wave),
+				Spent:         sched.Spent(),
+				Budget:        sched.Budget(),
+				NewEdges:      delta.New,
+				TouchedEdges:  len(delta.Edges),
+				TouchedFaults: len(delta.Faults),
+			},
+			snap:  driver.Graph(),
+			delta: delta,
+			done:  make(chan struct{}),
 		}
-
-		fp := clusterFingerprint(clusters)
-		if len(cycles) > 0 && fp == lastFP {
-			stable++
-		} else {
-			stable = 0
+		pend.score, pend.clusterOf = snapshotScoring(res, isRandom)
+		if pipeline {
+			go pend.analyse(inc)
+			continue
 		}
-		lastFP = fp
+		pend.analyse(inc)
+		seal()
 		if c.ckptFn != nil {
 			// Checkpoint persistence is best-effort: a round whose
 			// checkpoint could not be built still completes, the campaign
 			// just resumes from an earlier round after a crash.
-			if cp, err := checkpointOf(c, cfg, driver, sched, src, r.Round, stable, lastFP); err == nil {
+			if cp, err := checkpointOf(c, cfg, driver, sched, src, roundNum, stable, lastFP); err == nil {
 				c.ckptFn(cp)
 			}
 		}
-		if cfg.EarlyStopRounds > 0 && len(cycles) > 0 && stable >= cfg.EarlyStopRounds {
+		// stable only grows on rounds with cycles, so a positive count
+		// already implies a non-empty cycle set.
+		if cfg.EarlyStopRounds > 0 && stable >= cfg.EarlyStopRounds {
 			rep.EarlyStopped = true
 			break
 		}
 	}
-	finishPending()
+	seal()
 
 	if !isRandom {
 		rep.Alloc = res
 	}
 	rep.Runs = res.Runs
 	capture()
-	if c.ctx.Err() != nil {
-		return rep, driver, c.ctx.Err()
+	if err := c.ctx.Err(); err != nil {
+		return rep, err
 	}
 	// Final search with the finished allocation's scores: the last
 	// round's search can predate phase-two scoring (the schedule may
 	// finish clustering and scoring only while planning later, empty
-	// waves), and the batch pipeline ranks with the final SimScores. The
-	// graph is unchanged since the last round, so this is a fold-only
-	// re-rank for the incremental engine -- and a plain full search when
-	// no round ever executed.
-	cycles = inc.Search(driver.Graph(), scoreOf)
-	clusters = beam.ClusterCycles(cycles, clusterOf)
-	rep.Cycles = cycles
-	rep.CycleClusters = clusters
-	// Same teardown contract as the batch path: a cancellation racing the
-	// final re-rank still returns context.Canceled, and CampaignFinished
-	// never fires for a cancelled campaign.
+	// waves). For a round-based campaign the graph is unchanged since the
+	// last round, so this is a fold-only re-rank for the incremental
+	// engine -- and a plain full search when no round ever executed. A
+	// batch campaign searches one-shot: a fresh Incremental enumerates
+	// twice on a graph whose beam truncates (rebuild, then the one-shot
+	// fallback).
+	score, clusterOf := snapshotScoring(res, isRandom)
+	if rounds {
+		rep.Cycles = inc.Search(driver.Graph(), score)
+	} else {
+		rep.Cycles = beam.SearchGraph(rep.Graph, score, cfg.Beam)
+	}
+	rep.CycleClusters = beam.ClusterCycles(rep.Cycles, clusterOf)
+	// A cancellation racing the final search must still surface: the
+	// contract is that a cancelled campaign always returns the context
+	// error and never fires CampaignFinished.
 	if err := c.ctx.Err(); err != nil {
-		return rep, driver, err
+		return rep, err
 	}
 	if c.obs != nil {
 		for _, cy := range rep.Cycles {
@@ -260,13 +264,37 @@ func (c *Campaign) runAnytime(cfg Config, space *faults.Space, driver *harness.D
 		}
 		c.obs.CampaignFinished(rep)
 	}
-	return rep, driver, nil
+	return rep, nil
 }
 
-// snapshotScoring freezes the schedule's scoring state for a background
-// round analysis: crossing a phase barrier in Next mutates SimScores and
-// ClusterOf in place, so the pipelined search is handed a copy equal to
-// what the blocking search would have seen at this round. The random
+// roundAnalysis is one sealed round's search and clustering, run on the
+// campaign goroutine or, pipelined, on a background goroutine.
+type roundAnalysis struct {
+	r         Round
+	snap      *graph.Graph
+	delta     graph.Delta
+	score     func(faults.ID) float64
+	clusterOf func(faults.ID) (int, bool)
+	done      chan struct{}
+	cycles    []beam.Cycle
+	clusters  []beam.CycleCluster
+	panicked  any
+}
+
+// analyse folds the round's delta into the incremental search and
+// clusters the result; a panic is captured for seal to re-raise on the
+// campaign goroutine.
+func (a *roundAnalysis) analyse(inc *beam.Incremental) {
+	defer close(a.done)
+	defer func() { a.panicked = recover() }()
+	a.cycles = inc.SearchDelta(a.snap, a.delta, a.score)
+	a.clusters = beam.ClusterCycles(a.cycles, a.clusterOf)
+}
+
+// snapshotScoring freezes the schedule's scoring state for a round
+// analysis or the final search: crossing a phase barrier in Next mutates
+// SimScores and ClusterOf in place, so a pipelined round analysis gets a
+// copy equal to what a blocking one sees at the same round. The random
 // baseline never clusters or scores, so its snapshot is the constants.
 func snapshotScoring(res *alloc.Result, isRandom bool) (func(faults.ID) float64, func(faults.ID) (int, bool)) {
 	if isRandom {

@@ -1,19 +1,16 @@
 // This file holds Campaign, the first-class handle on one CSnake
 // detection campaign: a builder constructed from functional options,
 // driving a (possibly parallel) harness.Driver, observable through an
-// event stream, and cancellable through a context. The one-shot
-// Run/RunWithDriver functions in csnake.go remain as thin wrappers for
-// callers that do not need any of that.
+// event stream, and cancellable through a context. Run is its one entry
+// point; every campaign shape runs through the loop in anytime.go.
 
 package csnake
 
 import (
 	"context"
 	"io"
-	"math/rand"
 	"time"
 
-	"repro/internal/core/alloc"
 	"repro/internal/core/beam"
 	"repro/internal/core/fca"
 	"repro/internal/faults"
@@ -58,8 +55,8 @@ func (NopObserver) CycleFound(beam.Cycle)                          {}
 func (NopObserver) CampaignFinished(*Report)                       {}
 
 // Campaign is a configured, reusable campaign description. Build one with
-// NewCampaign and execute it with Run or RunWithDriver; each execution
-// creates a fresh driver, so a Campaign value can be run repeatedly.
+// NewCampaign and execute it with Run; each execution creates a fresh
+// driver, so a Campaign value can be run repeatedly.
 type Campaign struct {
 	sys      sysreg.System
 	cfg      Config
@@ -74,9 +71,9 @@ type Campaign struct {
 // Option mutates a Campaign under construction.
 type Option func(*Campaign)
 
-// NewCampaign builds a campaign against sys. Without options it is
-// equivalent to Run(sys, DefaultConfig(42)): paper-faithful parameters,
-// serial execution, no observer, background context.
+// NewCampaign builds a campaign against sys. Without options it runs
+// DefaultConfig(42): paper-faithful parameters, serial execution, no
+// observer, background context.
 func NewCampaign(sys sysreg.System, opts ...Option) *Campaign {
 	c := &Campaign{
 		sys: sys,
@@ -93,7 +90,7 @@ func NewCampaign(sys sysreg.System, opts ...Option) *Campaign {
 // WithConfig replaces the whole Config (applied before later options, so
 // it composes with WithReps etc. regardless of order only when first). A
 // positive cfg.Harness.Parallelism is adopted as the campaign's
-// parallelism, so legacy Config-based callers get the worker pool too.
+// parallelism, so Config-based callers get the worker pool too.
 func WithConfig(cfg Config) Option {
 	return func(c *Campaign) {
 		c.cfg = cfg
@@ -173,8 +170,10 @@ func WithEarlyStop(k int) Option {
 	}
 }
 
-// WithWaveSize sets the experiments-per-round granularity of an anytime
-// campaign; n <= 0 keeps the default (|F| runs per round).
+// WithWaveSize sets the experiments-per-round granularity and runs the
+// campaign in rounds (a positive size implies the round-based pipeline,
+// like WithAnytime); n <= 0 keeps the current value (|F| runs per round
+// by default).
 func WithWaveSize(n int) Option {
 	return func(c *Campaign) {
 		if n > 0 {
@@ -240,22 +239,14 @@ func (c *Campaign) System() sysreg.System { return c.sys }
 // Run executes the campaign: profile runs, budgeted fault injection, FCA,
 // and the beam search. On cancellation it returns the partial report and
 // the context error. The internal driver is torn down before returning
-// (its pooled traces released); callers that need the driver afterwards
-// use RunWithDriver and own the teardown.
+// (its pooled traces released); the report carries its counters.
 func (c *Campaign) Run() (*Report, error) {
-	rep, driver, err := c.RunWithDriver()
-	driver.Release()
-	return rep, err
-}
-
-// RunWithDriver is Run, additionally returning the harness driver so
-// callers (the report tables) can inspect edge provenance.
-func (c *Campaign) RunWithDriver() (*Report, *harness.Driver, error) {
 	cfg := c.cfg
 	space := sysreg.Space(c.sys)
 	hcfg := cfg.Harness
 	hcfg.Parallelism = c.par
 	driver := harness.New(c.sys, space, hcfg)
+	defer driver.Release()
 	driver.Bind(c.ctx)
 
 	budgetFactor := cfg.BudgetFactor
@@ -280,97 +271,5 @@ func (c *Campaign) RunWithDriver() (*Report, *harness.Driver, error) {
 	if o := harness.MultiObserver(c.obs, texp); o != nil {
 		driver.Observe(o)
 	}
-	// capture snapshots the driver's causal graph and annotates it with
-	// everything a detached re-search needs: per-fault SimScores (when the
-	// 3PA clustering produced any) and the loop-nest families. A graph
-	// persisted from the report therefore re-searches identically offline.
-	capture := func() {
-		rep.Graph = driver.Graph()
-		for f, gi := range cfg.Beam.NestGroups {
-			rep.Graph.SetNestGroup(f, gi)
-		}
-		if rep.Alloc != nil {
-			for _, f := range space.IDs() {
-				rep.Graph.SetScore(f, rep.Alloc.SimScoreOf(f))
-			}
-		}
-		rep.Edges = rep.Graph.Edges()
-		rep.Sims = driver.SimCount()
-		rep.Checkpoint = driver.CheckpointStats()
-		if tw != nil {
-			// Scores ride the trace too (last record wins on replay), so a
-			// monitor's re-search ranks cycles like the offline one.
-			if rep.Alloc != nil {
-				for _, f := range space.IDs() {
-					tw.Score(f, rep.Alloc.SimScoreOf(f))
-				}
-			}
-			tw.Flush()
-		}
-	}
-	finish := func() (*Report, *harness.Driver, error) {
-		capture()
-		return rep, driver, c.ctx.Err()
-	}
-
-	driver.ProfileAll()
-	if c.ctx.Err() != nil {
-		return finish()
-	}
-
-	if cfg.Anytime || cfg.EarlyStopRounds > 0 || cfg.Protocol == ProtocolAdaptive {
-		return c.runAnytime(cfg, space, driver, rep, capture)
-	}
-	if c.resume != nil {
-		// Batch campaigns re-run from scratch deterministically; a stale
-		// checkpoint on one is a caller bug, not something to ignore.
-		return rep, driver, resumeErr("batch campaigns do not resume")
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	switch cfg.Protocol {
-	case ProtocolRandom:
-		rep.Runs = alloc.Random(space, cfg.BudgetFactor, rng, driver)
-	default:
-		proto := &alloc.Protocol{
-			Space:            space,
-			BudgetFactor:     cfg.BudgetFactor,
-			ClusterThreshold: cfg.ClusterThreshold,
-			Rng:              rng,
-		}
-		rep.Alloc = proto.Run(driver)
-		rep.Runs = rep.Alloc.Runs
-	}
-	if c.ctx.Err() != nil {
-		return finish()
-	}
-
-	capture()
-
-	scoreOf := func(f faults.ID) float64 {
-		if rep.Alloc != nil {
-			return rep.Alloc.SimScoreOf(f)
-		}
-		return 1
-	}
-	rep.Cycles = beam.SearchGraph(rep.Graph, scoreOf, cfg.Beam)
-	rep.CycleClusters = beam.ClusterCycles(rep.Cycles, func(f faults.ID) (int, bool) {
-		if rep.Alloc == nil {
-			return 0, false
-		}
-		gi, ok := rep.Alloc.ClusterOf[f]
-		return gi, ok
-	})
-	// A cancellation racing the final search must still surface: the
-	// contract is that a cancelled campaign always returns the context
-	// error and never fires CampaignFinished.
-	if err := c.ctx.Err(); err != nil {
-		return rep, driver, err
-	}
-	if c.obs != nil {
-		for _, cy := range rep.Cycles {
-			c.obs.CycleFound(cy)
-		}
-		c.obs.CampaignFinished(rep)
-	}
-	return rep, driver, nil
+	return c.run(cfg, space, driver, rep, tw)
 }

@@ -371,25 +371,6 @@ func TestRealSystemCampaignParallelByteIdentical(t *testing.T) {
 	}
 }
 
-// TestLegacyRunMatchesCampaign pins the compatibility wrapper: the old
-// one-shot entry point is the builder with WithConfig.
-func TestLegacyRunMatchesCampaign(t *testing.T) {
-	cfg := DefaultConfig(7)
-	cfg.Harness.Reps = 3
-	cfg.Harness.DelayMagnitudes = []time.Duration{200 * time.Millisecond, time.Second}
-	legacy, err := Run(tinySystem{}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaBuilder, err := NewCampaign(tinySystem{}, WithConfig(cfg)).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy.Edges, viaBuilder.Edges) || legacy.Sims != viaBuilder.Sims {
-		t.Fatal("legacy Run diverges from Campaign with the same config")
-	}
-}
-
 // TestGraphRoundTripResearch pins the persistence acceptance criterion:
 // a campaign's causal graph serialized to JSON, loaded back, and
 // re-searched with the persisted SimScores and nest families yields

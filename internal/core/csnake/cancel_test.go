@@ -52,55 +52,3 @@ func TestBatchCancellation(t *testing.T) {
 		}
 	}
 }
-
-// TestCancelledCampaignReleasesTraces asserts the teardown resource
-// contract: after Driver.Release the profile cache holds no pooled runs,
-// whether the campaign finished or was cancelled, and Release is
-// idempotent.
-func TestCancelledCampaignReleasesTraces(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	rec := &eventRecorder{onExperiment: func(n int) {
-		if n == 2 {
-			cancel()
-		}
-	}}
-	_, driver, err := NewCampaign(tinySystem{},
-		append(tinyOpts(), WithAnytime(), WithWaveSize(3),
-			WithContext(ctx), WithObserver(rec))...).RunWithDriver()
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if driver == nil {
-		t.Fatal("no driver returned")
-	}
-	if held := driver.ProfileRunsHeld(); held == 0 {
-		t.Skip("campaign cancelled before any profile run was recorded")
-	}
-	driver.Release()
-	if held := driver.ProfileRunsHeld(); held != 0 {
-		t.Fatalf("after Release: %d profile runs still held", held)
-	}
-	driver.Release() // idempotent
-	if held := driver.ProfileRunsHeld(); held != 0 {
-		t.Fatalf("after second Release: %d profile runs held", held)
-	}
-}
-
-// Run (without WithDriver) releases pooled traces itself.
-func TestRunReleasesTraces(t *testing.T) {
-	rep, driver, err := NewCampaign(tinySystem{}, tinyOpts()...).RunWithDriver()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep == nil || driver == nil {
-		t.Fatal("missing report or driver")
-	}
-	if held := driver.ProfileRunsHeld(); held == 0 {
-		t.Fatal("expected pooled profile runs before Release")
-	}
-	driver.Release()
-	if held := driver.ProfileRunsHeld(); held != 0 {
-		t.Fatalf("after Release: %d profile runs still held", held)
-	}
-}

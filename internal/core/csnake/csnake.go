@@ -12,11 +12,14 @@
 //	).Run()
 //	for _, cc := range report.CycleClusters { fmt.Println(cc.Cycles[0]) }
 //
-// WithAnytime (and WithEarlyStop, which implies it) switches the same
-// campaign to a round-based streaming pipeline: experiment waves, graph
+// Every campaign runs through one loop: the allocation schedule plans
+// waves of experiments and the driver executes them. A batch campaign
+// plans whole-phase waves and searches for cycles once at the end.
+// WithAnytime (and WithEarlyStop, WithWaveSize and ProtocolAdaptive,
+// which imply it) runs the same loop in rounds: capped waves, graph
 // deltas, an incremental cycle search after every round, and per-round
 // convergence data in Report.Rounds -- with a final report identical to
-// the batch pipeline's when the budget runs to completion.
+// the batch campaign's when the budget runs to completion.
 package csnake
 
 import (
@@ -56,9 +59,17 @@ type Config struct {
 	// clustered cycle set is non-empty and has been stable for this many
 	// consecutive rounds, saving the remaining budget. Implies Anytime.
 	EarlyStopRounds int
-	// WaveSize is the number of experiments per anytime round (0 = |F|,
-	// i.e. roughly BudgetFactor rounds after the profile runs).
+	// WaveSize is the number of experiments per round (0 = |F|, i.e.
+	// roughly BudgetFactor rounds after the profile runs). A positive
+	// size implies the round-based pipeline.
 	WaveSize int
+}
+
+// roundBased reports whether the campaign runs in rounds -- capped
+// waves, a search and a Round record after each, checkpoints -- rather
+// than as a batch of whole-phase waves with one search at the end.
+func (cfg Config) roundBased() bool {
+	return cfg.Anytime || cfg.EarlyStopRounds > 0 || cfg.WaveSize > 0 || cfg.Protocol == ProtocolAdaptive
 }
 
 // ProtocolKind selects the budget allocation strategy.
@@ -153,21 +164,6 @@ type Round struct {
 	// cycle-dense targets reach six-figure raw counts in late rounds.
 	// CycleCount carries the uncompacted total.
 	Clusters []beam.CycleCluster
-}
-
-// Run executes a full campaign against sys with a fixed Config: it is
-// the one-shot wrapper over the Campaign builder, serial and unobserved.
-// The error is the campaign's termination error (context cancellation);
-// the report is always returned, partial on error.
-func Run(sys sysreg.System, cfg Config) (*Report, error) {
-	rep, _, err := RunWithDriver(sys, cfg)
-	return rep, err
-}
-
-// RunWithDriver is Run, additionally returning the harness driver so
-// callers (the report tables) can inspect edge provenance.
-func RunWithDriver(sys sysreg.System, cfg Config) (*Report, *harness.Driver, error) {
-	return NewCampaign(sys, WithConfig(cfg)).RunWithDriver()
 }
 
 // NestGroups assigns every loop in a nest (parent and children) to one

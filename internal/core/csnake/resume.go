@@ -80,6 +80,11 @@ func resumeErr(format string, args ...any) error {
 // checkpointed graph into the driver. It runs before the scheduler is
 // built (the adaptive protocol's weight hook probes the driver's graph).
 func (c *Campaign) adoptResume(cp *Checkpoint, cfg Config, driver *harness.Driver) error {
+	if !cfg.roundBased() {
+		// Batch campaigns re-run from scratch deterministically; a stale
+		// checkpoint on one is a caller bug, not something to ignore.
+		return resumeErr("batch campaigns do not resume")
+	}
 	if cp.Schema != CheckpointSchema {
 		return resumeErr("schema %d (want %d)", cp.Schema, CheckpointSchema)
 	}

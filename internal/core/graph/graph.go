@@ -268,8 +268,8 @@ func (g *Graph) AddAll(edges []fca.Edge) {
 }
 
 // AddStatic inserts static ICFG/CFG loop edges. They carry no raw
-// sequence (every prefix snapshot includes them, as EdgesUpTo always
-// appended the static set) and order after all dynamic edges.
+// sequence (every prefix snapshot includes them) and order after all
+// dynamic edges.
 func (g *Graph) AddStatic(edges []fca.Edge) {
 	g.mutable("AddStatic")
 	for _, e := range edges {
@@ -386,8 +386,8 @@ func (g *Graph) Edges() []fca.Edge {
 func (g *Graph) Snapshot() *Graph { return g.prefixSeq(g.seq, len(g.marks)) }
 
 // Prefix returns a sealed snapshot of the first n experiments (Mark
-// boundaries) plus all static edges: the incremental replacement for the
-// EdgesUpTo copy-and-rededup dance. n <= 0 yields only static edges;
+// boundaries) plus all static edges, with no raw-stream copying or
+// re-deduplication. n <= 0 yields only static edges;
 // n >= len(Marks()) yields the full graph.
 func (g *Graph) Prefix(n int) *Graph {
 	if n <= 0 {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core/compat"
 	"repro/internal/core/fca"
 	"repro/internal/faults"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -37,56 +36,16 @@ type jsonGraph struct {
 }
 
 type jsonEdge struct {
-	From      int       `json:"f"`
-	To        int       `json:"t"`
-	Kind      int       `json:"k"`
-	FromClass int       `json:"fc"`
-	ToClass   int       `json:"tc"`
-	Test      int       `json:"w"`
-	FromDelay bool      `json:"fd,omitempty"`
-	ToDelay   bool      `json:"td,omitempty"`
-	FromOcc   []jsonOcc `json:"fo,omitempty"`
-	ToOcc     []jsonOcc `json:"to,omitempty"`
-}
-
-type jsonOcc struct {
-	Stack    []string     `json:"s,omitempty"`
-	Branches []jsonBranch `json:"b,omitempty"`
-}
-
-type jsonBranch struct {
-	ID    string `json:"i"`
-	Taken bool   `json:"t"`
-}
-
-func wireOcc(entries []occEntry) []jsonOcc {
-	if len(entries) == 0 {
-		return nil
-	}
-	out := make([]jsonOcc, len(entries))
-	for i, e := range entries {
-		jo := jsonOcc{Stack: e.occ.Stack}
-		for _, b := range e.occ.Branches {
-			jo.Branches = append(jo.Branches, jsonBranch{ID: b.ID, Taken: b.Taken})
-		}
-		out[i] = jo
-	}
-	return out
-}
-
-func unwireOcc(occ []jsonOcc) []trace.Occurrence {
-	if len(occ) == 0 {
-		return nil
-	}
-	out := make([]trace.Occurrence, len(occ))
-	for i, jo := range occ {
-		o := trace.Occurrence{Stack: jo.Stack}
-		for _, b := range jo.Branches {
-			o.Branches = append(o.Branches, sim.BranchEval{ID: b.ID, Taken: b.Taken})
-		}
-		out[i] = o
-	}
-	return out
+	From      int                `json:"f"`
+	To        int                `json:"t"`
+	Kind      int                `json:"k"`
+	FromClass int                `json:"fc"`
+	ToClass   int                `json:"tc"`
+	Test      int                `json:"w"`
+	FromDelay bool               `json:"fd,omitempty"`
+	ToDelay   bool               `json:"td,omitempty"`
+	FromOcc   []trace.Occurrence `json:"fo,omitempty"`
+	ToOcc     []trace.Occurrence `json:"to,omitempty"`
 }
 
 func (g *Graph) wireEdge(r *edgeRec) jsonEdge {
@@ -96,7 +55,7 @@ func (g *Graph) wireEdge(r *edgeRec) jsonEdge {
 		FromClass: int(r.fromClass), ToClass: int(r.toClass),
 		Test:      int(r.test),
 		FromDelay: r.fromDelay, ToDelay: r.toDelay,
-		FromOcc: wireOcc(r.fromOcc), ToOcc: wireOcc(r.toOcc),
+		FromOcc: occList(r.fromOcc), ToOcc: occList(r.toOcc),
 	}
 }
 
@@ -180,8 +139,8 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 			Kind:      faults.EdgeKind(je.Kind),
 			FromClass: faults.FaultClass(je.FromClass), ToClass: faults.FaultClass(je.ToClass),
 			Test:      jg.Tests[je.Test],
-			FromState: compat.State{Occ: unwireOcc(je.FromOcc), DelayFault: je.FromDelay},
-			ToState:   compat.State{Occ: unwireOcc(je.ToOcc), DelayFault: je.ToDelay},
+			FromState: compat.State{Occ: je.FromOcc, DelayFault: je.FromDelay},
+			ToState:   compat.State{Occ: je.ToOcc, DelayFault: je.ToDelay},
 		})
 		return nil
 	}

@@ -19,7 +19,7 @@
 // be called from any goroutine, but Execute (and ExecuteWave) calls must
 // be issued serially relative to each other (as the allocation protocols
 // do): concurrent calls would interleave edge insertions between mark
-// boundaries and corrupt the Marks/GraphUpTo experiment-to-edge
+// boundaries and corrupt the Marks/Prefix experiment-to-edge
 // attribution.
 package harness
 
@@ -806,23 +806,6 @@ func (d *Driver) Graph() *graph.Graph {
 	defer d.mu.Unlock()
 	d.g.Index()
 	return d.g.Snapshot()
-}
-
-// GraphUpTo returns a sealed prefix snapshot covering the first n Execute
-// calls plus the static loop edges; n >= the number of experiments yields
-// the full graph. Snapshots reuse the interned edge records -- no raw
-// stream is replayed and no state keys are recomputed.
-func (d *Driver) GraphUpTo(n int) *graph.Graph {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.g.Prefix(n)
-}
-
-// EdgesUpTo returns the dynamic edges discovered by the first n Execute
-// calls plus the static loop edges, deduplicated (materialized from the
-// graph prefix snapshot; identical to the legacy copy-and-rededup result).
-func (d *Driver) EdgesUpTo(n int) []fca.Edge {
-	return d.GraphUpTo(n).Edges()
 }
 
 // Edges returns the deduplicated causal edge set discovered so far,

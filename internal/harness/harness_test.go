@@ -94,12 +94,13 @@ func TestExecuteAccumulatesEdgesAndMarks(t *testing.T) {
 	if marks[0] == 0 {
 		t.Fatal("no edges recorded for a storm-producing injection")
 	}
-	edges := d.EdgesUpTo(1)
+	g := d.Graph()
+	edges := g.Prefix(1).Edges()
 	if len(edges) == 0 {
-		t.Fatal("EdgesUpTo(1) empty")
+		t.Fatal("Prefix(1) empty")
 	}
-	if got := d.EdgesUpTo(0); len(got) >= len(edges) {
-		t.Fatalf("EdgesUpTo(0) = %d edges, want only static ones (< %d)", len(got), len(edges))
+	if got := g.Prefix(0).Edges(); len(got) >= len(edges) {
+		t.Fatalf("Prefix(0) = %d edges, want only static ones (< %d)", len(got), len(edges))
 	}
 }
 
@@ -225,7 +226,7 @@ func TestFanOutCoversAllIndices(t *testing.T) {
 
 // legacyRecorder replays the seed-era edge accounting: it collects the
 // raw (pre-dedup) dynamic edge stream through the observer, so tests can
-// recompute what the legacy copy-and-rededup EdgesUpTo produced.
+// recompute what the legacy copy-and-rededup prefix accounting produced.
 type legacyRecorder struct {
 	raw []fca.Edge
 }
@@ -236,8 +237,9 @@ func (r *legacyRecorder) EdgeDiscovered(e fca.Edge)                      { r.raw
 
 // TestEdgesUpToMatchesSeedSemantics pins the graph-backed prefix
 // snapshots against the seed semantics on a real campaign slice: for
-// every experiment count n, EdgesUpTo(n) must equal
-// Dedup(raw[:marks[n-1]] ++ StaticLoopEdges), the legacy formula.
+// every experiment count n, the edges of the driver graph's Prefix(n)
+// must equal Dedup(raw[:marks[n-1]] ++ StaticLoopEdges), the legacy
+// formula.
 func TestEdgesUpToMatchesSeedSemantics(t *testing.T) {
 	sys := dfs.NewV2()
 	space := sysreg.Space(sys)
@@ -256,19 +258,17 @@ func TestEdgesUpToMatchesSeedSemantics(t *testing.T) {
 		t.Fatalf("observer saw %d raw edges, marks end at %d", len(rec.raw), marks[len(marks)-1])
 	}
 	static := fca.StaticLoopEdges(space)
+	g := d.Graph()
 	for n := 0; n <= len(marks); n++ {
 		cut := 0
 		if n > 0 {
 			cut = marks[n-1]
 		}
 		want := fca.Dedup(append(append([]fca.Edge(nil), rec.raw[:cut]...), static...))
-		got := d.EdgesUpTo(n)
+		got := g.Prefix(n).Edges()
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("EdgesUpTo(%d) diverges from seed semantics: got %d edges, want %d\ngot:  %v\nwant: %v",
+			t.Fatalf("Prefix(%d) diverges from seed semantics: got %d edges, want %d\ngot:  %v\nwant: %v",
 				n, len(got), len(want), got, want)
-		}
-		if g := d.GraphUpTo(n); !reflect.DeepEqual(g.Edges(), want) {
-			t.Fatalf("GraphUpTo(%d).Edges() diverges: %v", n, g.Edges())
 		}
 	}
 }

@@ -63,7 +63,7 @@ func (p *TokenPool) Release() { <-p.ch }
 // cache. Call it once the campaign is torn down (finished or cancelled)
 // and the driver will execute no further runs: FCA copies the occurrence
 // evidence it keeps, so the accumulated graph and every read accessor
-// over it (Graph, GraphUpTo, Marks, Edges) stay valid. Idempotent; a
+// over it (Graph, Marks, Edges) stay valid. Idempotent; a
 // long-running service calls it after each job so retired campaigns do
 // not pin trace state until the whole driver is collected.
 func (d *Driver) Release() {

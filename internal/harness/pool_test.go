@@ -191,3 +191,46 @@ func TestWorkerPanicSurfacesOnCaller(t *testing.T) {
 		t.Fatalf("each ran %d of 8 workers; the panic must not strand siblings", got)
 	}
 }
+
+// TestReleaseReturnsProfileRuns asserts the teardown resource contract:
+// a driver holds its pooled profile runs until Release returns them,
+// the accumulated graph stays readable afterwards, and Release is
+// idempotent.
+func TestReleaseReturnsProfileRuns(t *testing.T) {
+	d := lightDriver(t)
+	d.Execute(dfs.PtNNIBRProcessLoop, "ibr_storm")
+	if held := d.ProfileRunsHeld(); held == 0 {
+		t.Fatal("expected pooled profile runs before Release")
+	}
+	edges := d.Edges()
+	d.Release()
+	if held := d.ProfileRunsHeld(); held != 0 {
+		t.Fatalf("after Release: %d profile runs still held", held)
+	}
+	if got := d.Edges(); !reflect.DeepEqual(got, edges) {
+		t.Fatalf("Release changed the graph: %d edges, want %d", len(got), len(edges))
+	}
+	d.Release()
+	if held := d.ProfileRunsHeld(); held != 0 {
+		t.Fatalf("after second Release: %d profile runs held", held)
+	}
+}
+
+// TestCancelledDriverReleasesTraces: a driver cancelled mid-campaign
+// releases its pooled profile runs like a finished one.
+func TestCancelledDriverReleasesTraces(t *testing.T) {
+	d := lightDriver(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	d.Bind(ctx)
+	d.Execute(dfs.PtNNIBRProcessLoop, "ibr_storm")
+	cancel()
+	d.Execute(dfs.PtDNIBRRPCIOE, "ibr_interval")
+	if held := d.ProfileRunsHeld(); held == 0 {
+		t.Fatal("expected pooled profile runs before Release")
+	}
+	d.Release()
+	if held := d.ProfileRunsHeld(); held != 0 {
+		t.Fatalf("after Release: %d profile runs still held", held)
+	}
+}

@@ -26,7 +26,6 @@ import (
 	"repro/internal/core/compat"
 	"repro/internal/core/fca"
 	"repro/internal/faults"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -60,28 +59,16 @@ type Record struct {
 // schema-v1 graph edge shape with fault ids and the test name inlined
 // instead of table indices.
 type EdgeRecord struct {
-	From      string      `json:"f"`
-	To        string      `json:"t"`
-	Kind      int         `json:"k"`
-	FromClass int         `json:"fc"`
-	ToClass   int         `json:"tc"`
-	Test      string      `json:"w"`
-	FromDelay bool        `json:"fd,omitempty"`
-	ToDelay   bool        `json:"td,omitempty"`
-	FromOcc   []OccRecord `json:"fo,omitempty"`
-	ToOcc     []OccRecord `json:"to,omitempty"`
-}
-
-// OccRecord is one piece of occurrence evidence (stack + branch trace).
-type OccRecord struct {
-	Stack    []string       `json:"s,omitempty"`
-	Branches []BranchRecord `json:"b,omitempty"`
-}
-
-// BranchRecord is one evaluated branch in an occurrence.
-type BranchRecord struct {
-	ID    string `json:"i"`
-	Taken bool   `json:"t"`
+	From      string             `json:"f"`
+	To        string             `json:"t"`
+	Kind      int                `json:"k"`
+	FromClass int                `json:"fc"`
+	ToClass   int                `json:"tc"`
+	Test      string             `json:"w"`
+	FromDelay bool               `json:"fd,omitempty"`
+	ToDelay   bool               `json:"td,omitempty"`
+	FromOcc   []trace.Occurrence `json:"fo,omitempty"`
+	ToOcc     []trace.Occurrence `json:"to,omitempty"`
 }
 
 // maxOccRecords bounds the evidence a single line may carry; anything
@@ -156,42 +143,17 @@ func (e *EdgeRecord) fcaEdge() fca.Edge {
 		Kind:      faults.EdgeKind(e.Kind),
 		FromClass: faults.FaultClass(e.FromClass), ToClass: faults.FaultClass(e.ToClass),
 		Test:      e.Test,
-		FromState: compat.State{Occ: unwireOcc(e.FromOcc), DelayFault: e.FromDelay},
-		ToState:   compat.State{Occ: unwireOcc(e.ToOcc), DelayFault: e.ToDelay},
+		FromState: compat.State{Occ: capOcc(e.FromOcc), DelayFault: e.FromDelay},
+		ToState:   compat.State{Occ: capOcc(e.ToOcc), DelayFault: e.ToDelay},
 	}
 }
 
-func unwireOcc(occ []OccRecord) []trace.Occurrence {
-	if len(occ) == 0 {
-		return nil
-	}
+// capOcc truncates oversupplied evidence to maxOccRecords.
+func capOcc(occ []trace.Occurrence) []trace.Occurrence {
 	if len(occ) > maxOccRecords {
-		occ = occ[:maxOccRecords]
+		return occ[:maxOccRecords]
 	}
-	out := make([]trace.Occurrence, len(occ))
-	for i, jo := range occ {
-		o := trace.Occurrence{Stack: jo.Stack}
-		for _, b := range jo.Branches {
-			o.Branches = append(o.Branches, sim.BranchEval{ID: b.ID, Taken: b.Taken})
-		}
-		out[i] = o
-	}
-	return out
-}
-
-func wireOcc(occ []trace.Occurrence) []OccRecord {
-	if len(occ) == 0 {
-		return nil
-	}
-	out := make([]OccRecord, len(occ))
-	for i, o := range occ {
-		jo := OccRecord{Stack: o.Stack}
-		for _, b := range o.Branches {
-			jo.Branches = append(jo.Branches, BranchRecord{ID: b.ID, Taken: b.Taken})
-		}
-		out[i] = jo
-	}
-	return out
+	return occ
 }
 
 // wireEdge converts an fca.Edge to its record form.
@@ -202,6 +164,6 @@ func wireEdge(e fca.Edge) *EdgeRecord {
 		FromClass: int(e.FromClass), ToClass: int(e.ToClass),
 		Test:      e.Test,
 		FromDelay: e.FromState.DelayFault, ToDelay: e.ToState.DelayFault,
-		FromOcc: wireOcc(e.FromState.Occ), ToOcc: wireOcc(e.ToState.Occ),
+		FromOcc: e.FromState.Occ, ToOcc: e.ToState.Occ,
 	}
 }

@@ -75,12 +75,6 @@ type CampaignSpec struct {
 	DeadlineMS int64 `json:"deadlineMs,omitempty"`
 }
 
-// anytime reports whether the spec resolves to the round-based
-// pipeline, and hence emits round-granular resume checkpoints.
-func (s *CampaignSpec) anytime() bool {
-	return s.Anytime || s.EarlyStopRounds > 0 || s.WaveSize > 0 || s.Protocol == "adaptive"
-}
-
 // Resolve validates the spec and returns the target system plus the
 // campaign options it denotes (context, observer, and worker pool are
 // the job manager's to add).
@@ -134,7 +128,7 @@ func (s *CampaignSpec) Resolve() (sysreg.System, []csnake.Option, error) {
 		opts = append(opts, csnake.WithEarlyStop(s.EarlyStopRounds))
 	}
 	if s.WaveSize > 0 {
-		opts = append(opts, csnake.WithAnytime(), csnake.WithWaveSize(s.WaveSize))
+		opts = append(opts, csnake.WithWaveSize(s.WaveSize))
 	}
 	return sys, opts, nil
 }

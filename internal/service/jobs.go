@@ -399,7 +399,6 @@ func (m *Manager) popBest() *Job {
 // error -- and leaves the daemon and its other jobs untouched.
 func (m *Manager) runJob(j *Job, ctx context.Context) {
 	var rep *csnake.Report
-	var driver *harness.Driver
 	var err error
 	func() {
 		defer func() {
@@ -410,12 +409,9 @@ func (m *Manager) runJob(j *Job, ctx context.Context) {
 				err = fmt.Errorf("campaign panicked: %v\n%s", r, debug.Stack())
 			}
 		}()
-		rep, driver, err = m.runCampaign(j, ctx)
+		rep, err = m.runCampaign(j, ctx)
 	}()
-	m.finish(j, rep, driver, err)
-	m.mu.Lock()
-	m.running--
-	m.mu.Unlock()
+	m.finish(j, rep, err, true)
 	m.schedule()
 }
 
@@ -423,10 +419,10 @@ func (m *Manager) runJob(j *Job, ctx context.Context) {
 // job's checkpoint when one is loaded. A checkpoint the campaign
 // rejects (ErrResume -- e.g. the spec changed shape across a daemon
 // upgrade) is discarded and the campaign re-runs from scratch.
-func (m *Manager) runCampaign(j *Job, ctx context.Context) (*csnake.Report, *harness.Driver, error) {
+func (m *Manager) runCampaign(j *Job, ctx context.Context) (*csnake.Report, error) {
 	sys, opts, err := j.Spec.Resolve()
 	if err != nil { // validated at submit; re-resolution cannot regress
-		return nil, nil, err
+		return nil, err
 	}
 	m.mu.Lock()
 	j.bugs = sys.Bugs()
@@ -439,7 +435,9 @@ func (m *Manager) runCampaign(j *Job, ctx context.Context) (*csnake.Report, *har
 			csnake.WithWorkerPool(m.pool),
 			csnake.WithObserver(&jobObserver{m: m, j: j}),
 		)
-		if m.jl != nil && j.Spec.anytime() {
+		// Batch campaigns seal no rounds, so only round-based ones ever
+		// emit a checkpoint.
+		if m.jl != nil {
 			runOpts = append(runOpts, csnake.WithCheckpoints(func(cp *csnake.Checkpoint) {
 				m.saveCheckpoint(j, cp)
 			}))
@@ -447,8 +445,7 @@ func (m *Manager) runCampaign(j *Job, ctx context.Context) (*csnake.Report, *har
 		if ckpt != nil {
 			runOpts = append(runOpts, csnake.WithResume(ckpt))
 		}
-		rep, driver, err := csnake.NewCampaign(sys, runOpts...).RunWithDriver()
-		driver.Release() // return pooled traces: jobs outlive their drivers
+		rep, err := csnake.NewCampaign(sys, runOpts...).Run()
 		if err != nil && errors.Is(err, csnake.ErrResume) {
 			log.Printf("csnaked: job %s: discarding stale checkpoint: %v", j.ID, err)
 			m.mu.Lock()
@@ -461,7 +458,7 @@ func (m *Manager) runCampaign(j *Job, ctx context.Context) (*csnake.Report, *har
 			ckpt = nil
 			continue
 		}
-		return rep, driver, err
+		return rep, err
 	}
 }
 
@@ -526,16 +523,29 @@ func (m *Manager) requeue(j *Job) {
 // of closing it. Terminal transitions persist the report, drop the
 // resume checkpoint, and notify subscribers. Safe to call once per
 // attempt; calls racing a terminal state are ignored.
-func (m *Manager) finish(j *Job, rep *csnake.Report, driver *harness.Driver, err error) {
+//
+// running says the attempt holds a run slot. finish frees it after the
+// outcome is journaled and before it is published, so nobody woken by
+// the outcome (Await, subscribers) sees the slot still held, and Drain,
+// which waits for every slot, returns only once the outcome is on disk.
+func (m *Manager) finish(j *Job, rep *csnake.Report, err error, running bool) {
+	release := func() {
+		if running {
+			m.mu.Lock()
+			m.running--
+			m.mu.Unlock()
+		}
+	}
 	m.mu.Lock()
 	if j.state.Terminal() {
 		m.mu.Unlock()
+		release()
 		return
 	}
-	if driver != nil {
-		j.sims = driver.SimCount()
-		m.simsTotal += int64(driver.SimCount())
-		st := driver.CheckpointStats()
+	if rep != nil {
+		j.sims = rep.Sims
+		m.simsTotal += int64(rep.Sims)
+		st := rep.Checkpoint
 		m.prefix.PrefixRuns += st.PrefixRuns
 		m.prefix.Hits += st.Hits
 		m.prefix.Clones += st.Clones
@@ -570,6 +580,7 @@ func (m *Manager) finish(j *Job, rep *csnake.Report, driver *harness.Driver, err
 		id, errMsg, att, sims := j.ID, j.err, j.attempt, j.sims
 		m.mu.Unlock()
 		m.jlog(journalRecord{T: "state", Job: id, State: StateInterrupted, Error: errMsg, Attempt: att, Sims: sims, At: time.Now()})
+		release()
 		m.publish(j, Event{Type: "state", Job: id, State: StateInterrupted, Error: errMsg, Attempt: att})
 		m.closeSubs(j)
 		return
@@ -586,6 +597,7 @@ func (m *Manager) finish(j *Job, rep *csnake.Report, driver *harness.Driver, err
 		id, errMsg, att := j.ID, j.err, j.attempt
 		m.mu.Unlock()
 		m.jlog(journalRecord{T: "state", Job: id, State: StateQueued, Error: errMsg, Attempt: att, At: time.Now()})
+		release()
 		m.publish(j, Event{Type: "state", Job: id, State: StateQueued, Error: errMsg, Attempt: att})
 		return
 	}
@@ -640,6 +652,7 @@ func (m *Manager) finish(j *Job, rep *csnake.Report, driver *harness.Driver, err
 	}
 	m.mu.Unlock()
 	m.jlog(rec)
+	release()
 	m.publish(j, Event{Type: "state", Job: id, State: st, Error: errMsg, Attempt: att})
 	m.closeSubs(j)
 	close(j.done)
@@ -790,7 +803,7 @@ func (m *Manager) Cancel(id string) (*JobStatus, error) {
 			}
 		}
 		m.mu.Unlock()
-		m.finish(j, nil, nil, context.Canceled)
+		m.finish(j, nil, context.Canceled, false)
 		return m.Status(id)
 	}
 	cancel := j.cancel

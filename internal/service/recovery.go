@@ -1,11 +1,11 @@
 // This file is the boot-time recovery path: replay the job journal,
 // rebuild the job table, and re-queue every job that was queued,
-// running, or interrupted when the previous daemon stopped. Anytime
-// jobs pick their resume checkpoint back up and continue from their
-// last sealed round; batch jobs (and anytime jobs whose checkpoint is
-// missing or stale) re-run from scratch. Replay is idempotent: records
-// duplicated by a crash between append and compaction coalesce into the
-// same job states.
+// running, or interrupted when the previous daemon stopped. A job with
+// a resume checkpoint (only round-based campaigns seal rounds and write
+// one) continues from its last sealed round; the rest -- batch jobs, and
+// jobs whose checkpoint is missing or stale -- re-run from scratch.
+// Replay is idempotent: records duplicated by a crash between append and
+// compaction coalesce into the same job states.
 
 package service
 
@@ -163,22 +163,20 @@ func (m *Manager) recover() error {
 		j.state = StateQueued
 
 		resumable := false
-		if j.Spec.anytime() {
-			if data := m.jl.readCheckpoint(id); data != nil {
-				var cp csnake.Checkpoint
-				if err := json.Unmarshal(data, &cp); err != nil {
-					log.Printf("csnaked: job %s: skipping corrupt checkpoint: %v", id, err)
-				} else if want, ok := ckptRounds[id]; ok && cp.Rounds != want {
-					// The journal and side file disagree (crash between the
-					// two writes): trust neither, re-run from scratch.
-					log.Printf("csnaked: job %s: checkpoint covers %d rounds, journal says %d: re-running from scratch", id, cp.Rounds, want)
-				} else if cp.Rounds > len(j.rounds) {
-					log.Printf("csnaked: job %s: checkpoint covers %d rounds but journal replayed %d: re-running from scratch", id, cp.Rounds, len(j.rounds))
-				} else {
-					j.ckpt = &cp
-					j.rounds = j.rounds[:cp.Rounds]
-					resumable = true
-				}
+		if data := m.jl.readCheckpoint(id); data != nil {
+			var cp csnake.Checkpoint
+			if err := json.Unmarshal(data, &cp); err != nil {
+				log.Printf("csnaked: job %s: skipping corrupt checkpoint: %v", id, err)
+			} else if want, ok := ckptRounds[id]; ok && cp.Rounds != want {
+				// The journal and side file disagree (crash between the
+				// two writes): trust neither, re-run from scratch.
+				log.Printf("csnaked: job %s: checkpoint covers %d rounds, journal says %d: re-running from scratch", id, cp.Rounds, want)
+			} else if cp.Rounds > len(j.rounds) {
+				log.Printf("csnaked: job %s: checkpoint covers %d rounds but journal replayed %d: re-running from scratch", id, cp.Rounds, len(j.rounds))
+			} else {
+				j.ckpt = &cp
+				j.rounds = j.rounds[:cp.Rounds]
+				resumable = true
 			}
 		}
 		if !resumable {

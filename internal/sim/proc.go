@@ -73,10 +73,11 @@ type Frame struct {
 	shared bool
 }
 
-// BranchEval records a monitored branch evaluation.
+// BranchEval records a monitored branch evaluation. Its JSON tags are
+// part of the occurrence evidence encoding (see trace.Occurrence).
 type BranchEval struct {
-	ID    string
-	Taken bool
+	ID    string `json:"i"`
+	Taken bool   `json:"t"`
 }
 
 func (p *Proc) run() {

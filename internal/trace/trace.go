@@ -30,10 +30,12 @@ const OccCap = 8
 // innermost call-stack frames and the branch trace of the fault-happening
 // loop iteration (or enclosing function when the fault is not in a loop).
 // Both slices are shared snapshots (interned stacks, copy-on-write branch
-// traces) and must be treated as immutable.
+// traces) and must be treated as immutable. The JSON tags are the
+// evidence encoding shared by the graph file format and the monitor
+// trace stream.
 type Occurrence struct {
-	Stack    []string
-	Branches []sim.BranchEval
+	Stack    []string         `json:"s,omitempty"`
+	Branches []sim.BranchEval `json:"b,omitempty"`
 }
 
 // Run is the trace of one simulated execution of one workload.
