@@ -4,21 +4,23 @@
 //
 //	go run ./examples/electionstorm
 //
-// The cycle's two halves live in two different workloads, so no single
-// test exposes the storm:
+// The cycle's halves live in two different workloads, so no single test
+// exposes the storm:
 //
 //	t1  slow_follower_catchup : delaying the catch-up batch loop (a slow
 //	                            follower) monopolizes the leader's
 //	                            replication round; healthy followers miss
 //	                            heartbeats and the staleness detector
-//	                            fires -- catchup/election -> hb_fresh
+//	                            fires -- catchup -> hb_fresh, election
 //	t2  leader_transfer       : delaying the election loop after a planned
 //	                            leadership transfer leaves the cluster
-//	                            leaderless past the timeout; negating the
-//	                            staleness detector turns every timer tick
+//	                            leaderless past the timeout -- election ->
+//	                            hb_fresh
+//	t3  leader_transfer       : negating the staleness detector across
+//	                            the same transfers turns every timer tick
 //	                            into a campaign -- hb_fresh -> election
 //
-// CSnake discovers one causal edge in each experiment and stitches them
+// CSnake discovers causal edges in each experiment and stitches them
 // into the self-sustaining cycle.
 package main
 
@@ -45,8 +47,8 @@ func main() {
 	fmt.Println("t2: delay the election loop across planned leadership transfers (leader_transfer)")
 	fmt.Printf("  interference: %v\n", driver.Execute(metastore.PtElectionLoop, "leader_transfer"))
 
-	fmt.Println("t3: negate the heartbeat-freshness detector (slow_follower_catchup)")
-	fmt.Printf("  interference: %v\n", driver.Execute(metastore.PtHBFresh, "slow_follower_catchup"))
+	fmt.Println("t3: negate the heartbeat-freshness detector across leadership transfers (leader_transfer)")
+	fmt.Printf("  interference: %v\n", driver.Execute(metastore.PtHBFresh, "leader_transfer"))
 
 	fmt.Println("\ndiscovered causal edges:")
 	var intoFresh, outOfFresh bool

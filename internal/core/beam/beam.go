@@ -25,7 +25,8 @@ import (
 // Options tunes the search.
 type Options struct {
 	// BeamSize is the number of active chains kept per level (paper: 5M;
-	// default here 100k, ample for simulator-scale fault spaces).
+	// default here 100k). The default is not exhaustive at simulator
+	// scale: every light campaign truncates from level 3 on.
 	BeamSize int
 	// MaxLen caps chain length as a safety valve (default 8).
 	MaxLen int

@@ -1,6 +1,9 @@
 package beam
 
 import (
+	"cmp"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -18,6 +21,9 @@ type matcher struct {
 	ix     *graph.Index
 	edges  []fca.Edge // materialized once, for cycle output
 	scores []float64  // SimScore of the injected fault (From)
+	// onQueue, when set, observes every level queue runChains is about
+	// to expand (tests compare survivor sets against a reference).
+	onQueue func(q *queue)
 }
 
 func newMatcher(g *graph.Graph, simScoreOf func(faults.ID) float64) *matcher {
@@ -88,26 +94,43 @@ func (m *matcher) matchIdx(i, j int) bool {
 	return intersects(ix.ToFull[i], ix.FromFull[j])
 }
 
-// ichain is the compact chain representation: indices into the edge slice.
-type ichain struct {
-	idx      []int
+// chainState is a chain's ranking state: the summed SimScore of its
+// injected faults, how many injections it holds, and how many of those
+// are distinct delay injections.
+type chainState struct {
 	score    float64
-	injs     int
-	delayInj uint8 // count of distinct delay injections
+	injs     int32
+	delayInj uint8
 }
 
-func (m *matcher) meanScore(c *ichain) float64 {
-	if c.injs == 0 {
+// mean is the chain's ranking score: the mean SimScore of its injected
+// faults (1 for a chain of connectors only).
+func (s *chainState) mean() float64 {
+	if s.injs == 0 {
 		return 1
 	}
-	return c.score / float64(c.injs)
+	return s.score / float64(s.injs)
+}
+
+// seedState is the ranking state of the length-1 chain of edge i.
+func (m *matcher) seedState(i int) chainState {
+	ix := m.ix
+	var s chainState
+	if !ix.Connector[i] {
+		s.injs = 1
+		s.score = m.scores[i]
+		if ix.FromClass[i] == faults.ClassDelay {
+			s.delayInj = 1
+		}
+	}
+	return s
 }
 
 // contains reports whether the chain already uses edge j (chains never
 // repeat an edge: a repeated edge only re-traverses an already-found
 // sub-cycle).
-func (c *ichain) contains(j int) bool {
-	for _, k := range c.idx {
+func contains(idx []int, j int) bool {
+	for _, k := range idx {
 		if k == j {
 			return true
 		}
@@ -115,15 +138,15 @@ func (c *ichain) contains(j int) bool {
 	return false
 }
 
-// countsDelay reports whether appending edge j adds a NEW distinct delay
-// injection.
-func (m *matcher) countsDelay(c *ichain, j int) bool {
+// countsDelay reports whether appending edge j to the chain adds a NEW
+// distinct delay injection.
+func (m *matcher) countsDelay(idx []int, j int) bool {
 	ix := m.ix
 	if ix.Connector[j] || ix.FromClass[j] != faults.ClassDelay {
 		return false
 	}
 	from := ix.From[j]
-	for _, k := range c.idx {
+	for _, k := range idx {
 		if !ix.Connector[k] && ix.From[k] == from {
 			return false
 		}
@@ -131,31 +154,162 @@ func (m *matcher) countsDelay(c *ichain, j int) bool {
 	return true
 }
 
-// mkChain seeds a length-1 chain from edge i.
-func (m *matcher) mkChain(i int) ichain {
-	ix := m.ix
-	c := ichain{idx: []int{i}}
-	if !ix.Connector[i] {
-		c.injs = 1
-		c.score = m.scores[i]
-		if ix.FromClass[i] == faults.ClassDelay {
-			c.delayInj = 1
-		}
-	}
-	return c
+// cand is one expansion candidate in compact form (24 bytes): the chain
+// at rank parent of the level being expanded, extended by edge, with the
+// extended chain's ranking state. No edge-index vector exists for a
+// candidate until it survives selection.
+type cand struct {
+	parent, edge int32
+	chainState
 }
 
-// chainSink receives every cyclic chain the expansion closes, with the
-// chain state as discovered (its idx starts at the rotation the search
-// grew it from). Sinks may be called concurrently from expansion workers
-// and must serialize internally.
-type chainSink func(c *ichain)
+// candLess is the beam's strict total order: mean score, then the
+// chains' lexicographic edge-index order. Every chain of a level has the
+// same length and the level's queue is kept in lexicographic order, so
+// the lexicographic order of parent.idx+[edge] is exactly the integer
+// order of (parent rank, edge).
+func candLess(a, b *cand) bool {
+	if sa, sb := a.mean(), b.mean(); sa != sb {
+		return sa < sb
+	}
+	if a.parent != b.parent {
+		return a.parent < b.parent
+	}
+	return a.edge < b.edge
+}
+
+// candCmp is candLess as a three-way comparison, for the slices sorts.
+func candCmp(a, b cand) int {
+	switch {
+	case candLess(&a, &b):
+		return -1
+	case candLess(&b, &a):
+		return 1
+	}
+	return 0
+}
+
+// byParentEdge orders candidates by (parent, edge): lexicographic order
+// of the chains they extend to.
+func byParentEdge(a, b cand) int {
+	if a.parent != b.parent {
+		return cmp.Compare(a.parent, b.parent)
+	}
+	return cmp.Compare(a.edge, b.edge)
+}
+
+// selectBeam partially orders c so that c[:k] holds its k smallest
+// candidates under candLess, in no particular order (0 < k < len(c)).
+// It is an introselect: median-of-three quickselect, falling back to a
+// full sort of the remaining range if partitioning degenerates. The
+// order is strict and total, so the selected set is exactly the one a
+// full sort would keep, whatever the pivots.
+func selectBeam(c []cand, k int) {
+	lo, hi := 0, len(c)-1
+	for budget := 2 * bits.Len(uint(len(c))); lo < hi; budget-- {
+		if budget == 0 {
+			slices.SortFunc(c[lo:hi+1], candCmp)
+			return
+		}
+		switch p := partition(c, lo, hi); {
+		case p == k:
+			return
+		case p < k:
+			lo = p + 1
+		default:
+			hi = p - 1
+		}
+	}
+}
+
+// partition places a median-of-three pivot of c[lo..hi] at its final
+// position p, with every smaller candidate before it and every larger
+// one after, and returns p.
+func partition(c []cand, lo, hi int) int {
+	mid := lo + (hi-lo)/2
+	if candLess(&c[mid], &c[lo]) {
+		c[mid], c[lo] = c[lo], c[mid]
+	}
+	if candLess(&c[hi], &c[lo]) {
+		c[hi], c[lo] = c[lo], c[hi]
+	}
+	if candLess(&c[mid], &c[hi]) {
+		c[mid], c[hi] = c[hi], c[mid]
+	}
+	pivot := c[hi]
+	i := lo
+	for j := lo; j < hi; j++ {
+		if candLess(&c[j], &pivot) {
+			c[i], c[j] = c[j], c[i]
+			i++
+		}
+	}
+	c[i], c[hi] = c[hi], c[i]
+	return i
+}
+
+// queue is one level's surviving chains: equal-width edge-index rows in
+// one arena, in lexicographic order, with their ranking states.
+type queue struct {
+	width int
+	idx   []int
+	state []chainState
+}
+
+func (q *queue) len() int { return len(q.state) }
+
+func (q *queue) chain(r int) []int {
+	return q.idx[r*q.width : (r+1)*q.width : (r+1)*q.width]
+}
+
+// advance materializes the survivors, sorted by (parent, edge), as the
+// next level's queue into next, reusing next's arena.
+func (q *queue) advance(surv []cand, next *queue) {
+	w := q.width + 1
+	next.width = w
+	next.idx = slices.Grow(next.idx[:0], len(surv)*w)[:len(surv)*w]
+	next.state = slices.Grow(next.state[:0], len(surv))[:len(surv)]
+	for r := range surv {
+		row := next.idx[r*w : (r+1)*w]
+		copy(row, q.chain(int(surv[r].parent)))
+		row[w-1] = int(surv[r].edge)
+		next.state[r] = surv[r].chainState
+	}
+}
+
+// chainSink receives every cyclic chain the expansion closes, as its
+// edge indices starting at the rotation the search grew it from, and its
+// mean score. idx is engine scratch, valid only during the call: a sink
+// that keeps it must copy it. Sinks may be called concurrently from
+// expansion workers and must serialize internally.
+type chainSink func(idx []int, mean float64)
 
 // nearSink receives every chain whose newest edge returns to the chain's
 // start fault without passing the closing compatibility check: a cycle
-// one piece of evidence short of closing. Same concurrency contract as
-// chainSink.
+// one piece of evidence short of closing. Same scratch and concurrency
+// contract as chainSink.
 type nearSink func(idx []int)
+
+// expander is runChains' per-search state: the sinks, and the per-worker
+// buffers reused across levels.
+type expander struct {
+	m       *matcher
+	opt     Options
+	through bool
+	near    nearSink
+	sink    chainSink
+	workers []worker
+	merged  []cand
+}
+
+// worker is one expansion shard's reusable state: its candidate buffer,
+// the number of candidates it generated this level (before its local
+// selection), and a scratch row for handing chains to the sinks.
+type worker struct {
+	cands []cand
+	n     int
+	row   []int
+}
 
 // runChains is the shared chain-expansion core behind the one-shot
 // search, the incremental search, and the near-cycle probe: it grows
@@ -169,106 +323,153 @@ type nearSink func(idx []int)
 // closes early. The returned flag reports whether any level truncated
 // the beam -- in which case the enumeration was not exhaustive and
 // incremental reuse of its results is unsound.
+//
+// Each level keeps the opt.BeamSize best candidates under candLess,
+// chosen by selectBeam, never by sorting every candidate; survivors are
+// then restored to lexicographic order, which candLess relies on at the
+// next level. The seeds themselves form the first queue (never
+// truncated) and must therefore be strictly ascending, as allSeeds and
+// graph.Delta.Edges are.
 func (m *matcher) runChains(seeds []int, opt Options, through bool, near nearSink, sink chainSink) bool {
 	ix := m.ix
-	truncated := false
-	queue := make([]ichain, 0, len(seeds))
+	for k := 1; k < len(seeds); k++ {
+		if seeds[k] <= seeds[k-1] {
+			panic("beam: runChains seeds not strictly ascending")
+		}
+	}
+	q := &queue{width: 1, idx: make([]int, 0, len(seeds)), state: make([]chainState, 0, len(seeds))}
 	for _, i := range seeds {
-		c := m.mkChain(i)
-		if opt.MaxDelayInjections >= 0 && int(c.delayInj) > opt.MaxDelayInjections {
+		s := m.seedState(i)
+		if opt.MaxDelayInjections >= 0 && int(s.delayInj) > opt.MaxDelayInjections {
 			continue
 		}
+		q.idx = append(q.idx, i)
+		q.state = append(q.state, s)
 		if m.matchIdx(i, i) {
-			// Sink a copy: addressing c itself would heap-box every seed
-			// chain (the sink callee is opaque to escape analysis).
-			closed := c
-			sink(&closed)
+			sink(q.chain(q.len()-1), s.mean())
 		} else if near != nil && ix.To[i] == ix.From[i] {
-			near(c.idx)
+			near(q.chain(q.len() - 1))
 		}
-		queue = append(queue, c)
 	}
-	for level := 1; level < opt.MaxLen && len(queue) > 0; level++ {
-		next := m.expand(queue, opt, through, near, sink)
-		sort.Slice(next, func(a, b int) bool {
-			sa, sb := m.meanScore(&next[a]), m.meanScore(&next[b])
-			if sa != sb {
-				return sa < sb
-			}
-			return lessIdx(next[a].idx, next[b].idx)
-		})
-		if len(next) > opt.BeamSize {
-			truncated = true
-			next = next[:opt.BeamSize]
+	x := &expander{m: m, opt: opt, through: through, near: near, sink: sink,
+		workers: make([]worker, max(opt.Workers, 1))}
+	next := &queue{}
+	truncated := false
+	for level := 1; level < opt.MaxLen && q.len() > 0; level++ {
+		if m.onQueue != nil {
+			m.onQueue(q)
 		}
-		queue = next
+		// The last level's survivors would never be expanded: count its
+		// candidates for the truncation flag, but select nothing.
+		last := level == opt.MaxLen-1
+		surv, n := x.expand(q, !last)
+		if n > opt.BeamSize {
+			truncated = true
+		}
+		if last {
+			break
+		}
+		slices.SortFunc(surv, byParentEdge)
+		q.advance(surv, next)
+		q, next = next, q
 	}
 	return truncated
 }
 
-func (m *matcher) expand(queue []ichain, opt Options, through bool, near nearSink, sink chainSink) []ichain {
-	ix := m.ix
-	shards := opt.Workers
-	if shards > len(queue) {
-		shards = len(queue)
+// expand grows every chain of q by one edge across the worker shards
+// and returns the candidates plus how many there were. With keep set,
+// the result is cut to the opt.BeamSize best (each shard prunes its own
+// as it goes, which cannot drop a global survivor); otherwise it is
+// empty and only the count matters.
+func (x *expander) expand(q *queue, keep bool) ([]cand, int) {
+	shards := min(len(x.workers), q.len())
+	if shards == 1 {
+		w := &x.workers[0]
+		x.expandShard(q, 0, 1, w, keep)
+		return w.cands, w.n
 	}
-	if shards == 0 {
-		return nil
-	}
-	results := make([][]ichain, shards)
 	var wg sync.WaitGroup
-	for w := 0; w < shards; w++ {
+	for s := 0; s < shards; s++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(s int) {
 			defer wg.Done()
-			var local []ichain
-			for qi := w; qi < len(queue); qi += shards {
-				c := &queue[qi]
-				last := c.idx[len(c.idx)-1]
-				for _, j32 := range ix.ByFrom[ix.To[last]] {
-					j := int(j32)
-					if c.contains(j) || !m.matchIdx(last, j) {
-						continue
-					}
-					nd := c.delayInj
-					if m.countsDelay(c, j) {
-						nd++
-					}
-					if opt.MaxDelayInjections >= 0 && int(nd) > opt.MaxDelayInjections {
-						continue
-					}
-					nc := ichain{
-						idx:      append(append(make([]int, 0, len(c.idx)+1), c.idx...), j),
-						score:    c.score,
-						injs:     c.injs,
-						delayInj: nd,
-					}
-					if !ix.Connector[j] {
-						nc.injs++
-						nc.score += m.scores[j]
-					}
-					if m.matchIdx(j, nc.idx[0]) {
-						sink(&nc)
-						if through {
-							local = append(local, nc)
-						}
-					} else {
-						if near != nil && ix.To[j] == ix.From[nc.idx[0]] {
-							near(nc.idx)
-						}
-						local = append(local, nc)
-					}
-				}
-			}
-			results[w] = local
-		}(w)
+			x.expandShard(q, s, shards, &x.workers[s], keep)
+		}(s)
 	}
 	wg.Wait()
-	var next []ichain
-	for _, r := range results {
-		next = append(next, r...)
+	n := 0
+	x.merged = x.merged[:0]
+	for s := range shards {
+		n += x.workers[s].n
+		x.merged = append(x.merged, x.workers[s].cands...)
 	}
-	return next
+	if keep && len(x.merged) > x.opt.BeamSize {
+		selectBeam(x.merged, x.opt.BeamSize)
+		x.merged = x.merged[:x.opt.BeamSize]
+	}
+	return x.merged, n
+}
+
+// expandShard expands the queue rows first, first+stride, ... into w.
+func (x *expander) expandShard(q *queue, first, stride int, w *worker, keep bool) {
+	m, ix, opt := x.m, x.m.ix, x.opt
+	w.cands = w.cands[:0]
+	w.n = 0
+	for r := first; r < q.len(); r += stride {
+		c := q.chain(r)
+		last := c[len(c)-1]
+		for _, j32 := range ix.ByFrom[ix.To[last]] {
+			j := int(j32)
+			if contains(c, j) || !m.matchIdx(last, j) {
+				continue
+			}
+			s := q.state[r]
+			if m.countsDelay(c, j) {
+				s.delayInj++
+			}
+			if opt.MaxDelayInjections >= 0 && int(s.delayInj) > opt.MaxDelayInjections {
+				continue
+			}
+			if !ix.Connector[j] {
+				s.injs++
+				s.score += m.scores[j]
+			}
+			closes := m.matchIdx(j, c[0])
+			if closes || (x.near != nil && ix.To[j] == ix.From[c[0]]) {
+				w.row = append(append(w.row[:0], c...), j)
+				if closes {
+					x.sink(w.row, s.mean())
+				} else {
+					x.near(w.row)
+				}
+			}
+			if closes && !x.through {
+				continue
+			}
+			w.n++
+			if !keep {
+				continue
+			}
+			if len(w.cands) == 4*opt.BeamSize {
+				w.prune(opt.BeamSize)
+			}
+			w.cands = append(w.cands, cand{parent: int32(r), edge: j32, chainState: s})
+		}
+	}
+	w.prune(opt.BeamSize)
+}
+
+// prune cuts the worker's candidates to the beamSize best. A candidate
+// pruned from any subset of a level's candidates has beamSize better ones
+// in that subset, so it cannot be a survivor of the whole level: pruning
+// whenever the buffer reaches four times the beam keeps each worker's
+// memory bounded by the beam, not by the level's candidate count, at
+// amortized constant selection work per candidate.
+func (w *worker) prune(beamSize int) {
+	if len(w.cands) > beamSize {
+		selectBeam(w.cands, beamSize)
+		w.cands = w.cands[:beamSize]
+	}
 }
 
 // bestEntry caches the winning candidate per signature: the cycle
@@ -286,8 +487,9 @@ type bestEntry struct {
 // representative -- the search must be a pure function of its input.
 // Comparing index rotations instead of rendered edge keys keeps the
 // duplicate-arrival path (every rotation of every cycle) free of string
-// building, and the Cycle itself (the edge slice) is materialized only
-// when the candidate actually wins its dedup slot.
+// building, and the Cycle itself (the edge slice) and a copy of can (which
+// may be engine scratch) are made only when the candidate actually wins
+// its dedup slot.
 func (m *matcher) mergeBest(best map[string]*bestEntry, can []int, score float64) {
 	m.mergeBestSig(best, m.signatureOf(can), can, score)
 }
@@ -302,7 +504,7 @@ func (m *matcher) mergeBestSig(best map[string]*bestEntry, sig string, can []int
 		for i, k := range can {
 			cy.Edges[i] = m.edges[k]
 		}
-		best[sig] = &bestEntry{cy: cy, idx: can}
+		best[sig] = &bestEntry{cy: cy, idx: slices.Clone(can)}
 	}
 }
 
@@ -339,12 +541,11 @@ func searchFast(g *graph.Graph, simScoreOf func(faults.ID) float64, opt Options)
 		mu   sync.Mutex
 		best = map[string]*bestEntry{}
 	)
-	sink := func(c *ichain) {
-		can := canonicalRotation(c.idx)
+	sink := func(idx []int, score float64) {
+		can := canonicalRotation(idx)
 		if m.oneNestFamilyIdx(can, opt.NestGroups) {
 			return
 		}
-		score := m.meanScore(c)
 		mu.Lock()
 		m.mergeBest(best, can, score)
 		mu.Unlock()
@@ -470,8 +671,7 @@ func (m *matcher) validCycle(can []int, opt Options) bool {
 // chain's edge-index sequence: every rotation of a cycle normalizes to
 // the same representative, and the order is total over distinct edge
 // sequences (indices are unique within a chain). Already-canonical
-// chains are returned as-is (the caller owns idx and never mutates it
-// afterwards).
+// chains are returned as-is, so the result may alias idx.
 func canonicalRotation(idx []int) []int {
 	bestR := 0
 	for r := 1; r < len(idx); r++ {

@@ -149,7 +149,7 @@ func TestCountsDelayDistinct(t *testing.T) {
 		{From: "l2", To: "z", Kind: faults.SD, FromClass: faults.ClassDelay, ToClass: faults.ClassDelay},
 	}
 	m := mkMatcher(edges, nil)
-	c := &ichain{idx: []int{0}}
+	c := []int{0}
 	if m.countsDelay(c, 1) {
 		t.Error("same delay fault must not count twice")
 	}

@@ -23,8 +23,9 @@
 // dedup and ordering bit for bit.
 //
 // The equivalence to a full re-search is exact as long as the beam never
-// truncates (the default 100k beam is ample for simulator-scale graphs).
-// Truncation makes the enumeration non-exhaustive and chain reuse
+// truncates. The default 100k beam does truncate on cycle-dense graphs
+// (every light campaign's final graph does, from level 3 on), and
+// truncation makes the enumeration non-exhaustive and chain reuse
 // unsound, so the engine detects it and permanently falls back to
 // delegating every round to the one-shot search, which is equal by
 // definition.
@@ -105,10 +106,10 @@ func (e *chainEntry) logical(nDyn int) []int {
 // bounded beam prunes globally, and a delta-seeded enumeration staying
 // under the beam proves nothing about whether the full enumeration
 // would -- delegation is the only way to keep the result exactly equal
-// to SearchGraph. The default beam is a safety valve sized far beyond
-// simulator-scale frontiers; the engine still abandons incremental
-// reuse at the first sign of beam pressure (a truncating enumeration,
-// or a chain store as large as the beam itself).
+// to SearchGraph. With the default beam the searcher is incremental only
+// while the graph is small: it abandons incremental reuse at the first
+// sign of beam pressure (a truncating enumeration, or a chain store as
+// large as the beam itself), which cycle-dense campaigns reach.
 func NewIncremental(opt Options) *Incremental {
 	custom := opt.BeamSize != 0
 	opt.defaults()
@@ -225,8 +226,8 @@ func (inc *Incremental) search(g *graph.Graph, delta *graph.Delta, simScoreOf fu
 // would never report. The signature and arriving rotations are derived
 // once here, not per round.
 func (inc *Incremental) storeSink(m *matcher, opt Options, nDyn int, vetArrival bool, mu *sync.Mutex) chainSink {
-	return func(c *ichain) {
-		can := canonicalRotation(c.idx)
+	return func(idx []int, _ float64) {
+		can := canonicalRotation(idx)
 		if m.oneNestFamilyIdx(can, opt.NestGroups) {
 			return
 		}
@@ -350,6 +351,6 @@ func NearCycleFaults(g *graph.Graph, opt Options) map[faults.ID]bool {
 		}
 		mu.Unlock()
 	}
-	m.runChains(allSeeds(ix.N), opt, false, near, func(*ichain) {})
+	m.runChains(allSeeds(ix.N), opt, false, near, func([]int, float64) {})
 	return out
 }
